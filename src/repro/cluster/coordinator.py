@@ -20,9 +20,7 @@ ambiguous disconnect-after-send cannot double-apply.
 
 from __future__ import annotations
 
-import bisect
 import socket
-import threading
 import time
 
 import numpy as np
@@ -30,7 +28,7 @@ import numpy as np
 from ..core.results import QueryResult, QueryStats
 from ..frontend.protocol import ProtocolError, recv_frame, send_frame
 from ..obs import counter, gauge, histogram, phase
-from ..service.router import merge_topk
+from ..service.router import OidOwnership, ShardMap, merge_topk
 from .node import ClusterSupervisor
 
 __all__ = ["ClusterError", "ClusterCoordinator"]
@@ -71,22 +69,16 @@ class ClusterCoordinator:
         if retries < 1:
             raise ValueError(f"retries must be >= 1, got {retries}")
         self._supervisor = supervisor
-        self._boundaries = supervisor.boundaries
+        self._map = ShardMap(supervisor.boundaries)
         self._retries = int(retries)
         self._retry_wait_s = float(retry_wait_s)
-        self._map_mutex = threading.Lock()
-        self._shard_of_oid: dict[int, int] = {}
+        self._owners = OidOwnership()
         self._conns: dict[tuple, socket.socket] = {}
         self._round_robin = [0] * supervisor.num_shards
         for shard in range(supervisor.num_shards):
-            reply = self._request_primary(shard, {"type": "ids"})
-            with self._map_mutex:
-                for oid in reply["ids"]:
-                    if oid in self._shard_of_oid:
-                        raise ClusterError(
-                            f"oid {oid} present in two shards"
-                        )
-                    self._shard_of_oid[int(oid)] = shard
+            self._owners.seed(
+                shard, self._request_primary(shard, {"type": "ids"})["ids"]
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -99,19 +91,17 @@ class ClusterCoordinator:
     @property
     def boundaries(self) -> list[float]:
         """The cluster's attribute split points."""
-        return list(self._boundaries)
+        return list(self._map.boundaries)
 
     def __len__(self) -> int:
-        with self._map_mutex:
-            return len(self._shard_of_oid)
+        return len(self._owners)
 
     def __contains__(self, oid: int) -> bool:
-        with self._map_mutex:
-            return int(oid) in self._shard_of_oid
+        return oid in self._owners
 
     def shard_for_attr(self, attr: float) -> int:
         """Index of the shard owning attribute value ``attr``."""
-        return bisect.bisect_right(self._boundaries, float(attr))
+        return self._map.shard_for_attr(attr)
 
     def check_invariants(self) -> None:
         """Audit the oid → shard map against what the primaries hold.
@@ -119,22 +109,10 @@ class ClusterCoordinator:
         Only meaningful while no writes are in flight (the map and the
         primaries are sampled at different instants).
         """
-        with self._map_mutex:
-            routed = dict(self._shard_of_oid)
-        total = 0
-        for shard in range(self.num_shards):
-            for oid in self._request_primary(shard, {"type": "ids"})["ids"]:
-                total += 1
-                if routed.get(int(oid)) != shard:
-                    raise AssertionError(
-                        f"oid {oid} lives in shard {shard} but the "
-                        f"coordinator maps it to {routed.get(int(oid))}"
-                    )
-        if total != len(routed):
-            raise AssertionError(
-                f"coordinator maps {len(routed)} oids but primaries "
-                f"hold {total}"
-            )
+        self._owners.check_invariants(
+            self._request_primary(shard, {"type": "ids"})["ids"]
+            for shard in range(self.num_shards)
+        )
 
     # ------------------------------------------------------------------
     # Connections
@@ -218,11 +196,7 @@ class ClusterCoordinator:
         """
         oid = int(oid)
         target = self.shard_for_attr(attr)
-        with self._map_mutex:
-            if oid in self._shard_of_oid:
-                raise ValueError(f"oid {oid} already present")
-            self._shard_of_oid[oid] = target
-        try:
+        with self._owners.reserve(oid, target):
             reply = self._request_primary(
                 target,
                 {
@@ -232,10 +206,6 @@ class ClusterCoordinator:
                     "attr": float(attr),
                 },
             )
-        except BaseException:  # repro: noqa-R004 - reservation rollback
-            with self._map_mutex:
-                self._shard_of_oid.pop(oid, None)
-            raise
         return int(reply["seq"])
 
     def delete(self, oid: int) -> int:
@@ -245,13 +215,9 @@ class ClusterCoordinator:
             The WAL sequence number the delete became durable at.
         """
         oid = int(oid)
-        with self._map_mutex:
-            if oid not in self._shard_of_oid:
-                raise KeyError(f"unknown oid {oid}")
-            target = self._shard_of_oid[oid]
+        target = self._owners.owner(oid)
         reply = self._request_primary(target, {"type": "delete", "oid": oid})
-        with self._map_mutex:
-            self._shard_of_oid.pop(oid, None)
+        self._owners.release(oid)
         return int(reply["seq"])
 
     # ------------------------------------------------------------------
@@ -293,36 +259,33 @@ class ClusterCoordinator:
             "k": int(k),
             "l_budget": l_budget,
         }
-        first = self.shard_for_attr(lo)
-        last = self.shard_for_attr(hi)
         partials = [
-            self._query_shard(shard, request)
-            for shard in range(first, last + 1)
-        ] if prefer == "replica" else [
-            self._decode_result(self._request_primary(shard, request))
-            for shard in range(first, last + 1)
+            self._query_shard(shard, request, prefer)
+            for shard in self._map.shards_for_range(lo, hi)
         ]
-        if len(partials) == 1:
-            return partials[0]
         return merge_topk(partials, k)
 
-    def _query_shard(self, shard: int, request: dict) -> QueryResult:
-        """Ask one shard, preferring its replicas, primary as fallback."""
-        count = len(self._supervisor.replica_ports(shard))
-        start = self._round_robin[shard]
-        self._round_robin[shard] = (start + 1) % max(1, count)
-        for offset in range(count):
-            key = ("replica", shard, (start + offset) % count)
-            try:
-                # One attempt per replica: a dead one should cost a
-                # fallback, not a retry budget.
-                return self._decode_result(
-                    self._request(key, dict(request), retries=1)
-                )
-            except ClusterError:
-                self._drop_connection(key)
-                continue
-        _COORD_REPLICA_FALLBACKS.inc()
+    def _query_shard(
+        self, shard: int, request: dict, prefer: str
+    ) -> QueryResult:
+        """Ask one shard: its replicas round-robin unless ``prefer`` is
+        ``"primary"``, the primary when no replica answers."""
+        if prefer == "replica":
+            count = len(self._supervisor.replica_ports(shard))
+            start = self._round_robin[shard]
+            self._round_robin[shard] = (start + 1) % max(1, count)
+            for offset in range(count):
+                key = ("replica", shard, (start + offset) % count)
+                try:
+                    # One attempt per replica: a dead one should cost a
+                    # fallback, not a retry budget.
+                    return self._decode_result(
+                        self._request(key, dict(request), retries=1)
+                    )
+                except ClusterError:
+                    self._drop_connection(key)
+                    continue
+            _COORD_REPLICA_FALLBACKS.inc()
         return self._decode_result(self._request_primary(shard, request))
 
     @staticmethod

@@ -39,7 +39,7 @@ import numpy as np
 from ..frontend.protocol import ProtocolError, recv_frame, send_frame
 from ..obs import counter, gauge
 from ..service.engine import IndexService
-from ..service.router import quantile_boundaries
+from ..service.router import ShardMap, quantile_boundaries
 from ..service.wal import WALError, latest_snapshot
 from .ship import NeedsResync, WalShipper, apply_stream
 
@@ -584,10 +584,11 @@ def seed_shards(
     """Partition data into per-shard durability directories.
 
     Splits the attribute domain at quantiles exactly like
-    :meth:`~repro.service.router.RangeShardedService.build` (same
-    boundary and assignment code), builds one index per shard, and
-    writes each under ``<directory>/shard-<i>`` with an initial
-    snapshot, plus a ``cluster.json`` manifest recording the
+    :meth:`~repro.service.router.RangeShardedService.build` (the same
+    :func:`~repro.service.router.quantile_boundaries` and
+    :meth:`~repro.service.router.ShardMap.partition`), builds one index
+    per shard, and writes each under ``<directory>/shard-<i>`` with an
+    initial snapshot, plus a ``cluster.json`` manifest recording the
     boundaries.  A :class:`ClusterSupervisor` then brings the cluster
     up from the directory alone.
 
@@ -601,14 +602,7 @@ def seed_shards(
     vectors = np.asarray(vectors, dtype=np.float64)
     attrs = np.asarray(attrs, dtype=np.float64)
     boundaries = quantile_boundaries(attrs, num_shards)
-    assignment = np.searchsorted(boundaries, attrs, side="right")
-    for number in range(len(boundaries) + 1):
-        members = assignment == number
-        if not members.any():
-            raise ValueError(
-                f"shard {number} would be empty; lower num_shards "
-                "(attribute mass is too concentrated)"
-            )
+    for number, members in enumerate(ShardMap(boundaries).partition(attrs)):
         index = index_factory(ids[members], vectors[members], attrs[members])
         service = IndexService(
             index, wal_dir=directory / f"shard-{number}"
@@ -691,9 +685,13 @@ class ClusterSupervisor:
             )
         with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
-        self._boundaries = [float(b) for b in manifest["boundaries"]]
-        self._num_shards = int(manifest["num_shards"])
-        for number in range(self._num_shards):
+        try:
+            self._map = ShardMap(
+                manifest["boundaries"], int(manifest["num_shards"])
+            )
+        except ValueError as error:
+            raise NodeError(f"{manifest_path}: {error}") from None
+        for number in range(self.num_shards):
             if not (self.directory / f"shard-{number}").is_dir():
                 raise NodeError(
                     f"{self.directory}: missing shard-{number} directory"
@@ -705,9 +703,9 @@ class ClusterSupervisor:
         if start_method is None:
             start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
-        self._primaries: list[_NodeHandle | None] = [None] * self._num_shards
+        self._primaries: list[_NodeHandle | None] = [None] * self.num_shards
         self._replicas: list[list[_NodeHandle | None]] = [
-            [None] * self.replicas for _ in range(self._num_shards)
+            [None] * self.replicas for _ in range(self.num_shards)
         ]
         self._started = False
 
@@ -715,12 +713,12 @@ class ClusterSupervisor:
     @property
     def boundaries(self) -> list[float]:
         """The cluster's attribute split points (from the manifest)."""
-        return list(self._boundaries)
+        return list(self._map.boundaries)
 
     @property
     def num_shards(self) -> int:
         """Number of attribute-range shards."""
-        return self._num_shards
+        return self._map.num_shards
 
     def primary_port(self, shard: int) -> int:
         """The (last known) port of a shard's primary."""
@@ -744,9 +742,9 @@ class ClusterSupervisor:
             raise NodeError("cluster already started")
         self._started = True
         try:
-            for shard in range(self._num_shards):
+            for shard in range(self.num_shards):
                 self._primaries[shard] = self._spawn_primary(shard)
-            for shard in range(self._num_shards):
+            for shard in range(self.num_shards):
                 for replica in range(self.replicas):
                     self._replicas[shard][replica] = self._spawn_replica(
                         shard, replica
@@ -906,9 +904,9 @@ class ClusterSupervisor:
                     handle.process.join(timeout=1.0)
                 handle.alive = False
             handle.shutdown_pipes()
-        self._primaries = [None] * self._num_shards
+        self._primaries = [None] * self.num_shards
         self._replicas = [
-            [None] * self.replicas for _ in range(self._num_shards)
+            [None] * self.replicas for _ in range(self.num_shards)
         ]
 
     def __enter__(self) -> "ClusterSupervisor":

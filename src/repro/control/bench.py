@@ -41,6 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from ..obs import histogram
+from ..service.router import ShardMap
 from .controller import ControlDaemon, KnobEnvelope, ServiceLKnob
 from .probes import RecallProbe
 from .tiering import TieredReadPath
@@ -387,15 +388,15 @@ def _run_scenario(
     # there.  Per query, apply the original policy to the widest
     # per-shard row coverage among the shards the range overlaps.
     open_loop_policy = AdaptiveLPolicy(l_base=l_base0, r_base=0.10)
-    shard_of = np.searchsorted(router.boundaries, workload.attrs, side="right")
+    shard_map = ShardMap(router.boundaries)
     shard_attrs = [
-        np.sort(workload.attrs[shard_of == s])
-        for s in range(router.num_shards)
+        np.sort(workload.attrs[members])
+        for members in shard_map.partition(workload.attrs)
     ]
 
     def open_loop_budget(lo, hi):
         coverage = 0.0
-        for s in range(tiered.shard_for_attr(lo), tiered.shard_for_attr(hi) + 1):
+        for s in shard_map.shards_for_range(lo, hi):
             attrs = shard_attrs[s]
             rows = np.searchsorted(attrs, hi, side="right") - np.searchsorted(
                 attrs, lo, side="left"

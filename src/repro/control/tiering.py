@@ -41,7 +41,6 @@ live traffic:
 
 from __future__ import annotations
 
-import bisect
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +54,7 @@ from ..parallel.shm import (
     SharedIndexStore,
     snapshot_manifest,
 )
-from ..service.router import merge_topk
+from ..service.router import ShardMap, merge_topk
 
 __all__ = ["TierStats", "TieredReadPath"]
 
@@ -176,13 +175,7 @@ class TieredReadPath:
         if hysteresis < 0.0:
             raise ValueError(f"hysteresis must be >= 0, got {hysteresis}")
         self._states = [_ShardState(shard) for shard in shards]
-        self._boundaries = [float(b) for b in boundaries]
-        if len(self._boundaries) != len(self._states) - 1:
-            raise ValueError(
-                f"{len(self._states)} shards need "
-                f"{len(self._states) - 1} boundaries, "
-                f"got {len(self._boundaries)}"
-            )
+        self._map = ShardMap(boundaries, len(self._states))
         self._snapshot_dir = Path(snapshot_dir)
         self._snapshot_dir.mkdir(parents=True, exist_ok=True)
         self.hot_capacity = int(hot_capacity)
@@ -287,7 +280,7 @@ class TieredReadPath:
     # ------------------------------------------------------------------
     def shard_for_attr(self, attr: float) -> int:
         """Index of the shard owning attribute value ``attr``."""
-        return bisect.bisect_right(self._boundaries, float(attr))
+        return self._map.shard_for_attr(attr)
 
     def query(
         self,
@@ -313,7 +306,7 @@ class TieredReadPath:
     def _query_timed(
         self, query_vector, lo: float, hi: float, k: int, l_budget
     ) -> QueryResult:
-        numbers = range(self.shard_for_attr(lo), self.shard_for_attr(hi) + 1)
+        numbers = self._map.shards_for_range(lo, hi)
         leased: list[tuple[int, _Placement]] = []
         with self._mutex:
             if self._closed:
@@ -341,8 +334,6 @@ class TieredReadPath:
                             self._states[number].retired.remove(placement)
                         except ValueError:
                             pass
-        if len(partials) == 1:
-            return partials[0]
         return merge_topk(partials, k)
 
     def warm(self, numbers=None) -> None:

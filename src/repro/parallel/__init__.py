@@ -15,9 +15,9 @@ zero-copy, no pickling of vector data:
   with crash detection + respawn, per-task timeouts, and graceful
   shutdown.
 * :class:`~repro.parallel.executor.ParallelQueryExecutor` — scatter-
-  gather by coarse-cluster slice or by attribute range shard, merging
-  partial top-k bitwise-identically to in-process execution, degrading
-  to serial when workers are unavailable.
+  gather by coarse-cluster slice, merging partial top-k
+  bitwise-identically to in-process execution, degrading to serial when
+  workers are unavailable.
 
 Integration points: ``execute_batch(..., parallel=executor)`` and
 ``RangeShardedService.attach_parallel(...)``.  See ``docs/parallel.md``.

@@ -96,7 +96,6 @@ def run_parallel_bench(
     baseline_threads: int = 4,
     k: int = 10,
     l_budget: int | None = None,
-    partition: str = "cluster",
     start_method: str | None = None,
     seed: int = 0,
     verbose: bool = True,
@@ -179,7 +178,6 @@ def run_parallel_bench(
         with ParallelQueryExecutor(
             index,
             num_workers=workers,
-            partition=partition,
             start_method=start_method,
         ) as executor:
             # Warm the workers (first task pays the attach).
@@ -197,7 +195,7 @@ def run_parallel_bench(
     if verbose:
         print(
             f"parallel scaling — n={n}, d={dim}, {num_queries} queries x "
-            f"{repeats} repeats, k={k}, partition={partition}"
+            f"{repeats} repeats, k={k}"
         )
         print(f"  serial                {result.serial_qps:10.1f} qps")
         print(
@@ -239,9 +237,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--l-budget", type=int, default=None)
     parser.add_argument(
-        "--partition", choices=("cluster", "shard"), default="cluster"
-    )
-    parser.add_argument(
         "--start-method", choices=("fork", "spawn"), default=None
     )
     parser.add_argument("--seed", type=int, default=0)
@@ -265,7 +260,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         baseline_threads=args.threads,
         k=args.k,
         l_budget=args.l_budget,
-        partition=args.partition,
         start_method=args.start_method,
         seed=args.seed,
     )

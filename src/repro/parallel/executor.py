@@ -1,21 +1,17 @@
 """ParallelQueryExecutor: scatter one index's queries across processes.
 
-Two partition strategies, both producing results **bitwise identical**
-to the executor's own in-process serial path (which tests pin against
-the index's exact kernels):
+Results are **bitwise identical** to the executor's own in-process
+serial path (which tests pin against the index's exact kernels): the
+parent plans the query (range slice, ranked candidate clusters,
+per-cluster L takes) against its zero-copy view, splits the ranked
+clusters into contiguous chunks of roughly equal take mass, and workers
+score their chunks.  Partials return top-k keyed by **(ADC distance,
+global drain position)** and merge with
+``np.lexsort((positions, distances))`` — provably the same total order
+a single stable sort over the undivided drain produces.
 
-* ``partition="cluster"`` — the parent plans the query (range slice,
-  ranked candidate clusters, per-cluster L takes) against its zero-copy
-  view, splits the ranked clusters into contiguous chunks of roughly
-  equal take mass, and workers score their chunks.  Partials return
-  top-k keyed by **(ADC distance, global drain position)** and merge
-  with ``np.lexsort((positions, distances))`` — provably the same total
-  order a single stable sort over the undivided drain produces.
-* ``partition="shard"`` — the attribute axis is cut at quantile row
-  boundaries (reusing :func:`repro.service.router.quantile_boundaries`);
-  each worker runs a complete sub-search over its row interval with a
-  budget chosen from shard-local coverage, and the partials merge
-  through the router's existing ``(distance, id)`` lexsort top-k.
+Attribute-sharded multiprocess reads are
+:meth:`repro.service.router.RangeShardedService.attach_parallel`'s job.
 
 Degradation: if the pool cannot start, a worker batch fails, or the
 index is too small to be worth scattering, the executor answers
@@ -30,7 +26,7 @@ import numpy as np
 from ..core.results import QueryResult, QueryStats
 from ..obs import counter
 from .pool import PoolUnavailable, WorkerError, WorkerPool
-from .shm import SharedIndexSearcher, SharedIndexStore, ShmError
+from .shm import SharedIndexSearcher, SharedIndexStore
 
 __all__ = ["ParallelQueryExecutor"]
 
@@ -40,12 +36,6 @@ _PARALLEL_QUERIES = counter("parallel.queries")
 #: Below this many drained candidates a scatter costs more than it saves.
 DEFAULT_MIN_SCATTER_CANDIDATES = 256
 
-#: Default sub-range count for ``partition="shard"``.  Deliberately a
-#: constant (not tied to ``num_workers``): the shard layout determines
-#: per-shard L budgets and therefore the answer under truncation, and
-#: results must stay bitwise identical across 0/1/2/4-worker executors.
-DEFAULT_NUM_SHARDS = 4
-
 
 class ParallelQueryExecutor:
     """Multiprocess range-query execution over one published index.
@@ -54,11 +44,6 @@ class ParallelQueryExecutor:
         index: A trained RangePQ-family index (``ivf`` + attribute map).
         num_workers: Worker process count; 0 forces in-process execution
             (useful as a no-pool baseline with identical semantics).
-        partition: ``"cluster"`` (split one plan's ranked clusters) or
-            ``"shard"`` (split the attribute axis at quantile rows).
-        num_shards: Sub-range count for ``partition="shard"``; defaults
-            to :data:`DEFAULT_NUM_SHARDS` (worker-count independent, so
-            answers do not change with pool size).
         start_method / task_timeout_s: Forwarded to :class:`WorkerPool`.
         min_scatter_candidates: Plans draining fewer candidates than
             this run in-process (the result is identical either way).
@@ -74,24 +59,15 @@ class ParallelQueryExecutor:
         index,
         *,
         num_workers: int = 2,
-        partition: str = "cluster",
-        num_shards: int | None = None,
         start_method: str | None = None,
         task_timeout_s: float = 60.0,
         min_scatter_candidates: int = DEFAULT_MIN_SCATTER_CANDIDATES,
     ) -> None:
-        if partition not in ("cluster", "shard"):
-            raise ValueError(
-                f"partition must be 'cluster' or 'shard', got {partition!r}"
-            )
         self.index = index
-        self.partition = partition
-        self._num_shards = num_shards or DEFAULT_NUM_SHARDS
         self._min_scatter = int(min_scatter_candidates)
         self._store = SharedIndexStore()
         self._manifest = self._store.publish(index)
         self._searcher = SharedIndexSearcher.from_store(self._store)
-        self._cuts = self._compute_cuts()
         self._pool: WorkerPool | None = None
         if num_workers > 0:
             try:
@@ -126,7 +102,6 @@ class ParallelQueryExecutor:
         self._searcher.close()
         self._manifest = self._store.republish(self.index)
         self._searcher = SharedIndexSearcher.from_store(self._store)
-        self._cuts = self._compute_cuts()
         return self._store.version
 
     def close(self) -> None:
@@ -143,21 +118,6 @@ class ParallelQueryExecutor:
     def __exit__(self, *exc_info) -> bool:
         self.close()
         return False
-
-    def _compute_cuts(self) -> list[int]:
-        """Row positions of the shard boundaries (shard partition only)."""
-        from ..service.router import quantile_boundaries
-
-        attrs = self._searcher._attrs
-        if self._num_shards <= 1 or attrs.size == 0:
-            return []
-        boundaries = quantile_boundaries(attrs, self._num_shards)
-        # An attribute equal to a boundary belongs to the upper shard
-        # (matching RangeShardedService's bisect_right routing), so the
-        # cut sits at the first row with attr >= boundary.
-        return [
-            int(np.searchsorted(attrs, b, side="left")) for b in boundaries
-        ]
 
     # ------------------------------------------------------------------
     # Query execution
@@ -176,8 +136,6 @@ class ParallelQueryExecutor:
             raise ValueError(f"k must be >= 1, got {k}")
         query = np.ascontiguousarray(query, dtype=np.float64)
         _PARALLEL_QUERIES.inc()
-        if self.partition == "shard":
-            return self._search_sharded(query, lo, hi, k, l_budget)
         return self._search_clustered(query, lo, hi, k, l_budget)
 
     def search_batch(
@@ -197,7 +155,7 @@ class ParallelQueryExecutor:
         queries = np.atleast_2d(np.ascontiguousarray(queries, dtype=np.float64))
         if len(queries) != len(ranges):
             raise ValueError(f"{len(queries)} queries but {len(ranges)} ranges")
-        if self.partition == "shard" or self._pool is None:
+        if self._pool is None:
             return [
                 self.search(queries[i], lo, hi, k, l_budget=l_budget)
                 for i, (lo, hi) in enumerate(ranges)
@@ -235,7 +193,7 @@ class ParallelQueryExecutor:
         ]
 
     # ------------------------------------------------------------------
-    # Cluster partition
+    # Scatter by ranked-cluster chunks
     # ------------------------------------------------------------------
     def _search_clustered(
         self,
@@ -323,88 +281,6 @@ class ParallelQueryExecutor:
         return QueryResult(
             ids=partial["ids"], distances=partial["distances"], stats=stats
         )
-
-    # ------------------------------------------------------------------
-    # Shard partition
-    # ------------------------------------------------------------------
-    def _sub_ranges(self, start: int, end: int) -> list[tuple[int, int, int]]:
-        """Split row interval [start, end) at the shard cuts.
-
-        Returns ``(row_start, row_end, shard_size)`` triples for every
-        non-empty intersection; ``shard_size`` is the shard's full row
-        count (the coverage denominator, mirroring per-shard services
-        that compute coverage against their own population).
-        """
-        edges = [0, *self._cuts, self._searcher._attrs.size]
-        out = []
-        for i in range(len(edges) - 1):
-            sub_start = max(start, edges[i])
-            sub_end = min(end, edges[i + 1])
-            if sub_start < sub_end:
-                out.append((sub_start, sub_end, edges[i + 1] - edges[i]))
-        return out
-
-    def _search_sharded(
-        self,
-        query: np.ndarray,
-        lo: float,
-        hi: float,
-        k: int,
-        l_budget: int | None,
-    ) -> QueryResult:
-        from ..service.router import _merge_topk
-
-        searcher = self._searcher
-        start, end = searcher.range_rows(lo, hi)
-        if start >= end:
-            return QueryResult.empty(QueryStats(num_in_range=0))
-        subs = self._sub_ranges(start, end)
-        budgets = [
-            searcher.budget_for_rows(sub_end - sub_start, shard_size)
-            if l_budget is None
-            else l_budget
-            for sub_start, sub_end, shard_size in subs
-        ]
-        workers = self._pool.num_workers if self._pool is not None else 0
-        if workers < 2 or len(subs) < 2 or (end - start) < self._min_scatter:
-            partials = [
-                searcher.search_rows(query, sub[0], sub[1], k, budgets[i])
-                for i, sub in enumerate(subs)
-            ]
-        else:
-            tasks = [
-                (
-                    "search_rows",
-                    {
-                        "manifest": self._manifest,
-                        "query": query,
-                        "row_start": sub[0],
-                        "row_end": sub[1],
-                        "k": int(k),
-                        "l_budget": budgets[i],
-                    },
-                )
-                for i, sub in enumerate(subs)
-            ]
-            try:
-                replies = self._pool.run(tasks)
-                partials = [
-                    QueryResult(
-                        ids=r["ids"],
-                        distances=r["distances"],
-                        stats=r["stats"],
-                    )
-                    for r in replies
-                ]
-            except WorkerError:
-                _FALLBACKS.inc()
-                partials = [
-                    searcher.search_rows(query, sub[0], sub[1], k, budgets[i])
-                    for i, sub in enumerate(subs)
-                ]
-        if len(partials) == 1:
-            return partials[0]
-        return _merge_topk(partials, k)
 
 
 def _chunk_by_take(

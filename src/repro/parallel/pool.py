@@ -125,19 +125,6 @@ def _execute_task(searchers: dict, kind: str, payload: dict):
             "distances": result.distances,
             "stats": result.stats,
         }
-    if kind == "search_rows":
-        result = searcher.search_rows(
-            payload["query"],
-            payload["row_start"],
-            payload["row_end"],
-            payload["k"],
-            payload["l_budget"],
-        )
-        return {
-            "ids": result.ids,
-            "distances": result.distances,
-            "stats": result.stats,
-        }
     if kind == "cluster_slice":
         return searcher.search_cluster_slice(
             payload["query"],

@@ -446,12 +446,10 @@ class SharedIndexView:
 class SharedIndexSearcher:
     """Deterministic range-query execution over attr-sorted arrays.
 
-    One searcher answers three granularities, all sharing one code path
+    One searcher answers two granularities, both sharing one code path
     so scattered partials merge bitwise-identically to a local scan:
 
     * :meth:`search` — a full query (range → plan → drain → top-k);
-    * :meth:`search_rows` — a full query restricted to a row interval
-      (the *range-shard* partition unit);
     * :meth:`search_cluster_slice` — an explicit (clusters, takes) slice
       of a parent-computed plan (the *coarse-cluster* partition unit).
 
@@ -536,10 +534,9 @@ class SharedIndexSearcher:
         end = int(np.searchsorted(self._attrs, hi, side="right"))
         return start, end
 
-    def budget_for_rows(self, num_rows: int, denominator: int | None = None) -> int:
+    def budget_for_rows(self, num_rows: int) -> int:
         """The L policy's budget for a query covering ``num_rows`` objects."""
-        denom = self._count if denominator is None else denominator
-        return self.l_policy.choose(num_rows / max(denom, 1))
+        return self.l_policy.choose(num_rows / max(self._count, 1))
 
     def plan_rows(
         self,
@@ -640,16 +637,22 @@ class SharedIndexSearcher:
             "num_candidates": int(local.size),
         }
 
-    def search_rows(
+    def search(
         self,
         query: np.ndarray,
-        row_start: int,
-        row_end: int,
+        lo: float,
+        hi: float,
         k: int,
-        l_budget: int,
+        *,
+        l_budget: int | None = None,
     ) -> QueryResult:
-        """Full plan + drain + top-k over one row interval."""
-        plan = self.plan_rows(query, row_start, row_end, l_budget)
+        """Answer one range query over the whole published collection."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        start, end = self.range_rows(lo, hi)
+        if l_budget is None:
+            l_budget = self.budget_for_rows(end - start)
+        plan = self.plan_rows(query, start, end, l_budget)
         stats = QueryStats(num_in_range=plan["num_in_rows"])
         stats.num_candidate_clusters = plan["num_candidate_clusters"]
         if plan["clusters"].size == 0:
@@ -668,20 +671,3 @@ class SharedIndexSearcher:
         return QueryResult(
             ids=partial["ids"], distances=partial["distances"], stats=stats
         )
-
-    def search(
-        self,
-        query: np.ndarray,
-        lo: float,
-        hi: float,
-        k: int,
-        *,
-        l_budget: int | None = None,
-    ) -> QueryResult:
-        """Answer one range query over the whole published collection."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        start, end = self.range_rows(lo, hi)
-        if l_budget is None:
-            l_budget = self.budget_for_rows(end - start)
-        return self.search_rows(query, start, end, k, l_budget)

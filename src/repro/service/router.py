@@ -13,14 +13,22 @@ the shard services, which do their own locking.  A scattered query is
 *not* a cross-shard atomic snapshot: each shard answers from its own
 consistent snapshot (single-shard queries keep the full consistency
 contract, and the common case — a narrow range — touches one shard).
+
+The three decisions every attribute-range scatter path shares live here
+once: :class:`ShardMap` (attribute → shard routing and the build-time
+partition), :class:`OidOwnership` (the oid → shard map with
+reserve-before-write) and :func:`merge_topk` (the only gather).  The
+router, :class:`~repro.control.tiering.TieredReadPath` and the cluster
+coordinator/supervisor all use them.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +36,13 @@ from ..core.results import QueryResult, QueryStats
 from ..obs import counter, histogram, phase
 from .engine import IndexService
 
-__all__ = ["RangeShardedService", "merge_topk", "quantile_boundaries"]
+__all__ = [
+    "OidOwnership",
+    "RangeShardedService",
+    "ShardMap",
+    "merge_topk",
+    "quantile_boundaries",
+]
 
 _MERGE_MS = histogram("service.merge_ms")
 _PARALLEL_FALLBACKS = counter("parallel.fallbacks")
@@ -51,6 +65,157 @@ def quantile_boundaries(attrs: np.ndarray, num_shards: int) -> list[float]:
     return np.unique(np.quantile(attrs, fractions)).tolist()
 
 
+class ShardMap:
+    """Attribute → shard routing over ``len(boundaries) + 1`` range shards.
+
+    Shard ``i`` owns attributes in ``[boundaries[i-1], boundaries[i])``
+    (first shard unbounded below, last unbounded above), so an attribute
+    equal to a boundary belongs to the upper shard.
+
+    Args:
+        boundaries: Strictly increasing split points.
+        num_shards: When given, must equal ``len(boundaries) + 1``.
+
+    Raises:
+        ValueError: On a count mismatch or unsorted boundaries.
+    """
+
+    def __init__(
+        self, boundaries: Sequence[float], num_shards: int | None = None
+    ) -> None:
+        self.boundaries = tuple(float(b) for b in boundaries)
+        if num_shards is not None and len(self.boundaries) != num_shards - 1:
+            raise ValueError(
+                f"{num_shards} shards need {num_shards - 1} boundaries, "
+                f"got {len(self.boundaries)}"
+            )
+        if any(a >= b for a, b in zip(self.boundaries, self.boundaries[1:])):
+            raise ValueError("boundaries must be strictly increasing")
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.boundaries) + 1
+
+    def shard_for_attr(self, attr: float) -> int:
+        """Index of the shard owning attribute value ``attr``."""
+        return bisect.bisect_right(self.boundaries, float(attr))
+
+    def shards_for_range(self, lo: float, hi: float) -> range:
+        """Shards whose interval overlaps ``[lo, hi]`` (none if ``lo > hi``)."""
+        if lo > hi:
+            return range(0)
+        return range(self.shard_for_attr(lo), self.shard_for_attr(hi) + 1)
+
+    def partition(self, attrs: np.ndarray) -> list[np.ndarray]:
+        """Per-shard boolean member masks over ``attrs``.
+
+        Raises:
+            ValueError: If some shard would receive no member.
+        """
+        assignment = np.searchsorted(
+            self.boundaries, np.asarray(attrs, dtype=np.float64), side="right"
+        )
+        masks = []
+        for number in range(self.num_shards):
+            members = assignment == number
+            if not members.any():
+                raise ValueError(
+                    f"shard {number} would be empty; lower num_shards "
+                    "(attribute mass is too concentrated)"
+                )
+            masks.append(members)
+        return masks
+
+
+class OidOwnership:
+    """Mutex-guarded oid → shard map that routes deletes.
+
+    Inserts reserve their oid before the shard write (so a concurrent
+    duplicate insert fails instead of racing into another shard) and
+    roll the reservation back if the write raises.
+    """
+
+    def __init__(self) -> None:
+        self._mutex = threading.Lock()
+        self._owner: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        with self._mutex:
+            return len(self._owner)
+
+    def __contains__(self, oid: int) -> bool:
+        with self._mutex:
+            return int(oid) in self._owner
+
+    def seed(self, shard: int, oids: Iterable[int]) -> None:
+        """Record ``shard`` as the owner of every oid it already holds.
+
+        Raises:
+            ValueError: If an oid is already owned by another shard.
+        """
+        with self._mutex:
+            for oid in oids:
+                oid = int(oid)
+                if oid in self._owner:
+                    raise ValueError(f"oid {oid} present in two shards")
+                self._owner[oid] = shard
+
+    @contextmanager
+    def reserve(self, oid: int, shard: int) -> Iterator[None]:
+        """Own ``oid`` for ``shard`` around a write; undo it if the write raises.
+
+        Raises:
+            ValueError: If ``oid`` is already owned.
+        """
+        with self._mutex:
+            if oid in self._owner:
+                raise ValueError(f"oid {oid} already present")
+            self._owner[oid] = shard
+        try:
+            yield
+        except BaseException:  # repro: noqa-R004 - reservation rollback
+            with self._mutex:
+                self._owner.pop(oid, None)
+            raise
+
+    def owner(self, oid: int) -> int:
+        """The shard owning ``oid``.
+
+        Raises:
+            KeyError: If no shard owns it.
+        """
+        with self._mutex:
+            if oid not in self._owner:
+                raise KeyError(f"unknown oid {oid}")
+            return self._owner[oid]
+
+    def release(self, oid: int) -> None:
+        """Forget ``oid`` (after its delete committed)."""
+        with self._mutex:
+            self._owner.pop(oid, None)
+
+    def check_invariants(self, held: Iterable[Iterable[int]]) -> None:
+        """Audit the map against ``held``: shard ``i``'s oids at position ``i``.
+
+        Only meaningful while no writes are in flight.
+        """
+        with self._mutex:
+            owner = dict(self._owner)
+        total = 0
+        for shard, oids in enumerate(held):
+            for oid in oids:
+                total += 1
+                if owner.get(int(oid)) != shard:
+                    raise AssertionError(
+                        f"oid {oid} lives in shard {shard} but is mapped "
+                        f"to {owner.get(int(oid))}"
+                    )
+        if total != len(owner):
+            raise AssertionError(
+                f"{len(owner)} oids are mapped but the shards hold {total}"
+            )
+
+
 class RangeShardedService:
     """Scatter-gather router over attribute-range shards.
 
@@ -67,30 +232,16 @@ class RangeShardedService:
     def __init__(
         self, shards: Sequence[IndexService], boundaries: Sequence[float]
     ) -> None:
-        if len(boundaries) != len(shards) - 1:
-            raise ValueError(
-                f"{len(shards)} shards need {len(shards) - 1} boundaries, "
-                f"got {len(boundaries)}"
-            )
-        if any(
-            boundaries[i] >= boundaries[i + 1]
-            for i in range(len(boundaries) - 1)
-        ):
-            raise ValueError("boundaries must be strictly increasing")
         self._shards = list(shards)
-        self._boundaries = [float(b) for b in boundaries]
-        self._map_mutex = threading.Lock()
+        self._map = ShardMap(boundaries, len(self._shards))
         self._parallel_pool = None
         self._parallel_stores: list = []
         self._parallel_manifests: list = []
         self._parallel_versions: list[int] = []
         self._parallel_mutex = threading.Lock()
-        self._shard_of_oid: dict[int, int] = {}
+        self._owners = OidOwnership()
         for number, shard in enumerate(self._shards):
-            for oid in shard.index.ivf.ids():
-                if oid in self._shard_of_oid:
-                    raise ValueError(f"oid {oid} present in two shards")
-                self._shard_of_oid[oid] = number
+            self._owners.seed(number, shard.index.ivf.ids())
 
     # ------------------------------------------------------------------
     # Construction
@@ -125,15 +276,8 @@ class RangeShardedService:
         vectors = np.asarray(vectors, dtype=np.float64)
         attrs = np.asarray(attrs, dtype=np.float64)
         boundaries = quantile_boundaries(attrs, num_shards)
-        assignment = np.searchsorted(boundaries, attrs, side="right")
         shards = []
-        for number in range(len(boundaries) + 1):
-            members = assignment == number
-            if not members.any():
-                raise ValueError(
-                    f"shard {number} would be empty; lower num_shards "
-                    "(attribute mass is too concentrated)"
-                )
+        for number, members in enumerate(ShardMap(boundaries).partition(attrs)):
             index = index_factory(
                 ids[members], vectors[members], attrs[members]
             )
@@ -154,7 +298,7 @@ class RangeShardedService:
     @property
     def boundaries(self) -> list[float]:
         """The attribute split points."""
-        return list(self._boundaries)
+        return list(self._map.boundaries)
 
     @property
     def num_shards(self) -> int:
@@ -164,32 +308,19 @@ class RangeShardedService:
         return sum(len(shard) for shard in self._shards)
 
     def __contains__(self, oid: int) -> bool:
-        with self._map_mutex:
-            return oid in self._shard_of_oid
+        return oid in self._owners
 
     def shard_for_attr(self, attr: float) -> int:
         """Index of the shard owning attribute value ``attr``."""
-        return bisect.bisect_right(self._boundaries, float(attr))
+        return self._map.shard_for_attr(attr)
 
     def check_invariants(self) -> None:
         """Audit every shard plus the router's own oid → shard map."""
         for shard in self._shards:
             shard.check_invariants()
-        with self._map_mutex:
-            routed = dict(self._shard_of_oid)
-        total = 0
-        for number, shard in enumerate(self._shards):
-            for oid in shard.index.ivf.ids():
-                total += 1
-                if routed.get(int(oid)) != number:
-                    raise AssertionError(
-                        f"oid {oid} lives in shard {number} but the router "
-                        f"maps it to {routed.get(int(oid))}"
-                    )
-        if total != len(routed):
-            raise AssertionError(
-                f"router maps {len(routed)} oids but shards hold {total}"
-            )
+        self._owners.check_invariants(
+            shard.index.ivf.ids() for shard in self._shards
+        )
 
     # ------------------------------------------------------------------
     # Write plane (per-shard serialization)
@@ -198,31 +329,17 @@ class RangeShardedService:
         """Route one insert to the shard owning ``attr``."""
         oid = int(oid)
         target = self.shard_for_attr(attr)
-        with self._map_mutex:
-            if oid in self._shard_of_oid:
-                raise ValueError(f"oid {oid} already present")
-            # Reserve before the shard insert so a concurrent duplicate
-            # insert fails here instead of racing into another shard.
-            self._shard_of_oid[oid] = target
-        try:
+        with self._owners.reserve(oid, target):
             # Delegation: the shard service write-locks internally.
             self._shards[target].insert(oid, vector, attr)  # repro: noqa-R007
-        except BaseException:  # repro: noqa-R004 - reservation rollback
-            with self._map_mutex:
-                self._shard_of_oid.pop(oid, None)
-            raise
 
     def delete(self, oid: int) -> None:
         """Route one delete via the oid → shard map."""
         oid = int(oid)
-        with self._map_mutex:
-            if oid not in self._shard_of_oid:
-                raise KeyError(f"unknown oid {oid}")
-            target = self._shard_of_oid[oid]
+        target = self._owners.owner(oid)
         # Delegation: the shard service write-locks internally.
         self._shards[target].delete(oid)  # repro: noqa-R007
-        with self._map_mutex:
-            self._shard_of_oid.pop(oid, None)
+        self._owners.release(oid)
 
     # ------------------------------------------------------------------
     # Read plane (scatter-gather)
@@ -256,9 +373,7 @@ class RangeShardedService:
             raise ValueError(f"k must be >= 1, got {k}")
         if timeout_s is not None and timeout_s <= 0:
             raise TimeoutError("query deadline exhausted before execution")
-        first = self.shard_for_attr(lo)
-        last = self.shard_for_attr(hi)
-        numbers = range(first, last + 1)
+        numbers = self._map.shards_for_range(lo, hi)
         # Lock-free fast path: a stale None just takes the thread path; a
         # stale pool is re-validated under _parallel_mutex in
         # _query_parallel before use.
@@ -272,8 +387,6 @@ class RangeShardedService:
             self._shards[number].query(query_vector, lo, hi, k, l_budget=l_budget)
             for number in numbers
         ]
-        if len(partials) == 1:
-            return partials[0]
         return merge_topk(partials, k)
 
     # ------------------------------------------------------------------
@@ -422,8 +535,6 @@ class RangeShardedService:
             )
             for reply in replies
         ]
-        if len(partials) == 1:
-            return partials[0]
         return merge_topk(partials, k)
 
     # ------------------------------------------------------------------
@@ -486,10 +597,16 @@ def merge_topk(partials: Sequence[QueryResult], k: int) -> QueryResult:
 
     Order is by approximate distance with ties broken by oid, exactly
     the ordering one un-sharded index produces — every scatter-gather
-    consumer (the in-process router, the parallel executor, and the
-    cluster coordinator) merges through this one function so their
-    answers stay bitwise comparable.
+    path (the router's thread and parallel backends, the tiered read
+    path, and the cluster coordinator) merges through this one function
+    so their answers stay bitwise comparable.  No partials (an inverted
+    range overlaps no shard) give an empty result; a single partial is
+    returned unchanged.
     """
+    if not partials:
+        return QueryResult.empty(QueryStats(num_in_range=0))
+    if len(partials) == 1:
+        return partials[0]
     with phase("merge", metric=_MERGE_MS):
         ids = np.concatenate([p.ids for p in partials])
         distances = np.concatenate([p.distances for p in partials])
@@ -512,7 +629,3 @@ def merge_topk(partials: Sequence[QueryResult], k: int) -> QueryResult:
     return QueryResult(
         ids=ids[order], distances=distances[order], stats=stats
     )
-
-
-#: Backwards-compatible private alias (pre-cluster name).
-_merge_topk = merge_topk

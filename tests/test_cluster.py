@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro.cluster import (
     ClusterCoordinator,
+    ClusterError,
     ClusterSupervisor,
     NeedsResync,
     NodeError,
@@ -173,6 +175,28 @@ class TestSeeding:
         with pytest.raises(NodeError, match="cluster.json"):
             ClusterSupervisor(tmp_path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"boundaries": [50.0]}, "3 shards need 2 boundaries"),
+            ({"boundaries": [60.0, 40.0]}, "increasing"),
+        ],
+        ids=["count", "order"],
+    )
+    def test_supervisor_rejects_inconsistent_manifest(
+        self, seeddata, tmp_path, edit, message
+    ):
+        ids, vectors, attrs = seeddata
+        seed_shards(
+            tmp_path, ids, vectors, attrs, num_shards=3, index_factory=factory
+        )
+        path = tmp_path / "cluster.json"
+        manifest = json.loads(path.read_text())
+        manifest.update(edit)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(NodeError, match=message):
+            ClusterSupervisor(tmp_path)
+
 
 # ----------------------------------------------------------------------
 # End-to-end: cluster answers must be bitwise-identical to the
@@ -215,9 +239,23 @@ class TestClusterEndToEnd:
                 for oid in (3, 5, 7):
                     coordinator.delete(oid)
                     oracle.delete(oid)
+                # A failed insert releases its oid reservation.
+                with pytest.raises(ClusterError):
+                    coordinator.insert(1100, np.zeros(3), 50.0)  # wrong dim
+                assert 1100 not in coordinator
+                vector = rng.standard_normal(8)
+                coordinator.insert(1100, vector, 50.0)
+                oracle.insert(1100, vector, 50.0)
                 coordinator.sync()
                 coordinator.check_invariants()
                 _assert_matches_oracle(coordinator, oracle, rng)
+                # An inverted range across the boundary overlaps no shard.
+                vector = rng.standard_normal(8)
+                got = coordinator.query(vector, 90.0, 10.0, 5)
+                want = oracle.query(vector, 90.0, 10.0, 5)
+                assert len(got) == 0 and got.stats.num_in_range == 0
+                np.testing.assert_array_equal(want.ids, got.ids)
+                np.testing.assert_array_equal(want.distances, got.distances)
         oracle.close()
 
     def test_chaos_kill_replica_and_primary_then_recover(

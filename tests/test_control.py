@@ -417,6 +417,15 @@ class TestTieredReadPath:
             assert tiered.hot_bytes() > 0
             assert_bitwise(tiered, router)  # placement must not change answers
 
+    def test_inverted_range_across_shards_is_empty(self, router, tmp_path):
+        with TieredReadPath.for_router(router, snapshot_dir=tmp_path) as tiered:
+            assert tiered.shard_for_attr(90.0) != tiered.shard_for_attr(10.0)
+            got = tiered.query(np.zeros(8), 90.0, 10.0, 5)
+            want = router.query(np.zeros(8), 90.0, 10.0, 5)
+            assert len(got) == 0 and got.stats.num_in_range == 0
+            np.testing.assert_array_equal(want.ids, got.ids)
+            np.testing.assert_array_equal(want.distances, got.distances)
+
     def test_rebalance_never_promotes_unaccessed_shards(
         self, router, tmp_path
     ):

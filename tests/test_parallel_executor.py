@@ -1,7 +1,7 @@
 """Cross-process equivalence tests: the parallel executor's answers must
-be bitwise-identical to serial ``index.query`` for both partitioning
-strategies, every worker count, and truncated candidate budgets — and
-all shared memory must be unlinked after shutdown."""
+be bitwise-identical to serial ``index.query`` for every worker count
+and truncated candidate budgets — and all shared memory must be
+unlinked after shutdown."""
 
 from __future__ import annotations
 
@@ -43,14 +43,13 @@ def _assert_bitwise(index, executor, queries, *, l_budget):
             assert np.array_equal(want.distances, got.distances)
 
 
-@pytest.mark.parametrize("partition", ["cluster", "shard"])
-@pytest.mark.parametrize("workers", [1, 2, 4])
+# The "-cluster" suffix names the executor's (only) partition: chunks of
+# ranked coarse clusters.
+@pytest.mark.parametrize("workers", [1, 2, 4], ids=lambda w: f"{w}-cluster")
 class TestEquivalence:
-    def test_full_budget(self, index, dataset, partition, workers):
+    def test_full_budget(self, index, dataset, workers):
         _, _, queries = dataset
-        with ParallelQueryExecutor(
-            index, num_workers=workers, partition=partition
-        ) as executor:
+        with ParallelQueryExecutor(index, num_workers=workers) as executor:
             _assert_bitwise(index, executor, queries, l_budget=FULL_BUDGET)
 
 
@@ -60,41 +59,8 @@ class TestClusterTruncated:
         """The cluster partition replays the serial drain order exactly,
         so even budget-limited results are bitwise identical."""
         _, _, queries = dataset
-        with ParallelQueryExecutor(
-            index, num_workers=workers, partition="cluster"
-        ) as executor:
+        with ParallelQueryExecutor(index, num_workers=workers) as executor:
             _assert_bitwise(index, executor, queries, l_budget=50)
-
-
-class TestShardTruncated:
-    def test_truncated_budget_identical_across_worker_counts(
-        self, index, dataset
-    ):
-        """The shard partition budgets each sub-range like a per-shard
-        service (router semantics, not single-index semantics), so the
-        contract under truncation is worker-count independence: 2 and 4
-        workers must reproduce the in-process sharded answer bitwise."""
-        _, _, queries = dataset
-        with ParallelQueryExecutor(
-            index, num_workers=1, partition="shard"
-        ) as reference:
-            want = [
-                reference.search(query, lo, hi, 10, l_budget=50)
-                for query in queries
-                for lo, hi in RANGES
-            ]
-        for workers in (2, 4):
-            with ParallelQueryExecutor(
-                index, num_workers=workers, partition="shard"
-            ) as executor:
-                got = [
-                    executor.search(query, lo, hi, 10, l_budget=50)
-                    for query in queries
-                    for lo, hi in RANGES
-                ]
-            for a, b in zip(want, got):
-                assert np.array_equal(a.ids, b.ids)
-                assert np.array_equal(a.distances, b.distances)
 
 
 class TestBatch:

@@ -3,6 +3,9 @@ completeness, and shard-local maintenance."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,52 @@ class TestRouting:
         with pytest.raises(KeyError):
             router.delete(999_999)
 
+    def test_failed_insert_releases_its_reservation(self, router):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError):
+            router.insert(10_700, rng.standard_normal(3), 50.0)  # wrong dim
+        assert 10_700 not in router
+        router.insert(10_700, rng.standard_normal(16), 50.0)
+        assert 10_700 in router
+        router.check_invariants()
+        router.delete(10_700)
+
+    def test_racing_duplicate_inserts_land_in_one_shard(self, router):
+        """Threads inserting the same oids at attrs in different shards:
+        the reservation lets exactly one insert per oid through."""
+        oids = range(20_000, 20_040)
+        wins: list[int] = []
+        errors: list[BaseException] = []
+
+        def writer(attr):
+            rng = np.random.default_rng(int(attr))
+            for oid in oids:
+                try:
+                    router.insert(oid, rng.standard_normal(16), attr)
+                    wins.append(oid)
+                except ValueError:
+                    pass
+                except BaseException as error:  # surfaced below
+                    errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(attr,))
+                for attr in (5.0, 35.0, 65.0, 95.0)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert sorted(wins) == list(oids)
+        router.check_invariants()
+
     def test_mismatched_boundaries_rejected(self, router):
         with pytest.raises(ValueError, match="boundaries"):
             RangeShardedService(router.shards, [1.0])
@@ -126,6 +175,16 @@ class TestScatterGather:
         assert router.shard_for_attr(lo) != router.shard_for_attr(hi)
         result = router.query(queries[0], lo, hi, k=50, l_budget=10**6)
         assert set(result.ids.tolist()) == in_range
+
+    def test_inverted_range_across_shards_is_empty(self, dataset, router):
+        """lo > hi spanning a boundary answers like the direct index."""
+        _, _, _, queries = dataset
+        assert router.shard_for_attr(90.0) != router.shard_for_attr(10.0)
+        want = router.shards[0].index.query(queries[0], 90.0, 10.0, k=5)
+        got = router.query(queries[0], 90.0, 10.0, k=5)
+        assert len(got) == 0 and got.stats.num_in_range == 0
+        assert np.array_equal(want.ids, got.ids)
+        assert np.array_equal(want.distances, got.distances)
 
     def test_merge_orders_by_distance(self, dataset, router):
         _, _, _, queries = dataset
