@@ -10,6 +10,12 @@ through the *same* :func:`~repro.service.router.merge_topk` as the
 in-process router, so a cluster answer is bitwise comparable to a
 single-process oracle.
 
+Every fan-out — the read scatter, the stats and sync polls, the ``ids``
+requests — goes through one helper, :meth:`ClusterCoordinator._scatter`,
+which sends to every node before it awaits any reply.  The nodes serve
+each connection on its own thread, so a range query crossing shards
+costs the slowest shard's round-trip, not the sum of them.
+
 Failure handling is retry-with-reconnect: a dead connection is dropped,
 the node's current port re-resolved from the supervisor (primaries move
 ports on restart), and the request retried a bounded number of times.
@@ -75,10 +81,10 @@ class ClusterCoordinator:
         self._owners = OidOwnership()
         self._conns: dict[tuple, socket.socket] = {}
         self._round_robin = [0] * supervisor.num_shards
-        for shard in range(supervisor.num_shards):
-            self._owners.seed(
-                shard, self._request_primary(shard, {"type": "ids"})["ids"]
-            )
+        for shard, reply in enumerate(
+            self._ask_all(self._primary_keys(), {"type": "ids"})
+        ):
+            self._owners.seed(shard, reply["ids"])
 
     # ------------------------------------------------------------------
     # Introspection
@@ -110,8 +116,8 @@ class ClusterCoordinator:
         primaries are sampled at different instants).
         """
         self._owners.check_invariants(
-            self._request_primary(shard, {"type": "ids"})["ids"]
-            for shard in range(self.num_shards)
+            reply["ids"]
+            for reply in self._ask_all(self._primary_keys(), {"type": "ids"})
         )
 
     # ------------------------------------------------------------------
@@ -145,42 +151,89 @@ class ClusterCoordinator:
             except OSError:  # pragma: no cover - already closed
                 pass
 
-    def _request(
-        self, key: tuple, request: dict, *, retries: int | None = None
-    ) -> dict:
+    def _scatter(
+        self, keys: list[tuple], request: dict
+    ) -> list[dict | Exception]:
+        """Send ``request`` to every node in ``keys``, then read the replies.
+
+        Every request is sent before any reply is awaited, so the nodes
+        work at once; the replies are read back in ``keys`` order.  One
+        attempt per node and no retry: each caller applies its own
+        failure policy to the entries that did not succeed.
+
+        Returns:
+            One entry per key: the node's reply (``ok`` true or false),
+            or the error that failed sending or receiving.  Such a
+            connection is closed and forgotten, and so is every one
+            whose reply is left unread when an exception escapes, so no
+            later request can read this one's reply as its own.
+        """
+        replies: list = [None] * len(keys)
+        socks: dict[int, socket.socket] = {}  # sent, reply not yet read
+        try:
+            for index, key in enumerate(keys):
+                try:
+                    sock = self._connection(key)
+                    send_frame(sock, request)
+                except (OSError, ProtocolError, ClusterError) as error:
+                    self._drop_connection(key)
+                    replies[index] = error
+                    continue
+                socks[index] = sock
+            for index in list(socks):
+                try:
+                    reply = recv_frame(socks[index])
+                except (OSError, ProtocolError) as error:
+                    reply = error
+                if reply is None:  # clean EOF: the node went away
+                    reply = ClusterError(f"{keys[index]}: connection closed")
+                if not isinstance(reply, dict):
+                    self._drop_connection(keys[index])
+                replies[index] = reply
+                del socks[index]
+        finally:
+            for index in socks:
+                self._drop_connection(keys[index])
+        return replies
+
+    @staticmethod
+    def _answered(reply: dict | Exception) -> bool:
+        """Whether a :meth:`_scatter` entry is a successful reply."""
+        return isinstance(reply, dict) and bool(reply.get("ok", False))
+
+    def _request(self, key: tuple, request: dict) -> dict:
         """One request/reply exchange with bounded retry + reconnect.
 
         Raises:
             ClusterError: After the attempts are exhausted, or when the
                 node answered with an application error.
         """
-        last_error: Exception | None = None
-        for attempt in range(retries if retries is not None else self._retries):
+        for attempt in range(self._retries):
             if attempt:
                 _COORD_RETRIES.inc()
                 time.sleep(self._retry_wait_s)
-            try:
-                sock = self._connection(key)
-                send_frame(sock, request)
-                reply = recv_frame(sock)
-            except (OSError, ProtocolError, ClusterError) as error:
-                self._drop_connection(key)
-                last_error = error
-                continue
-            if reply is None:  # clean EOF mid-exchange: node went away
-                self._drop_connection(key)
-                last_error = ClusterError(f"{key}: connection closed")
-                continue
-            if not reply.get("ok", False):
-                raise ClusterError(
-                    f"{key}: {reply.get('error', 'request failed')}"
-                )
-            return reply
+            (reply,) = self._scatter([key], request)
+            if isinstance(reply, dict):
+                if not reply.get("ok", False):
+                    raise ClusterError(
+                        f"{key}: {reply.get('error', 'request failed')}"
+                    )
+                return reply
         raise ClusterError(
-            f"{key}: no reply after "
-            f"{retries if retries is not None else self._retries} attempts "
-            f"(last error: {last_error})"
+            f"{key}: no reply after {self._retries} attempts "
+            f"(last error: {reply})"
         )
+
+    def _ask_all(self, keys: list[tuple], request: dict) -> list[dict]:
+        """Every node's reply: one scatter, each failure retried alone
+        through :meth:`_request` (which raises when it gives up)."""
+        return [
+            reply if self._answered(reply) else self._request(key, request)
+            for key, reply in zip(keys, self._scatter(keys, request))
+        ]
+
+    def _primary_keys(self) -> list[tuple]:
+        return [("primary", shard) for shard in range(self.num_shards)]
 
     def _request_primary(self, shard: int, request: dict) -> dict:
         return self._request(("primary", shard), request)
@@ -235,10 +288,11 @@ class ClusterCoordinator:
     ) -> QueryResult:
         """Scatter a range query to overlapping shards, merge top-``k``.
 
-        Each overlapping shard is asked once — a replica by default
-        (round-robin across the shard's replicas), the primary when
-        ``prefer="primary"`` or when no replica answers — and per-shard
-        answers merge through the shared
+        All shards are asked before any reply is awaited — a replica by
+        default (round-robin across the shard's replicas), the primary
+        when ``prefer="primary"`` — so the shards work at once.  A shard
+        whose node fails is asked again through its other replicas,
+        then its primary.  The per-shard answers merge through the shared
         :func:`~repro.service.router.merge_topk`, so the global order
         (distance, tie-broken by oid) is bitwise identical to an
         un-sharded index at the same state.
@@ -259,34 +313,51 @@ class ClusterCoordinator:
             "k": int(k),
             "l_budget": l_budget,
         }
-        partials = [
-            self._query_shard(shard, request, prefer)
+        orders = [
+            self._read_order(shard, prefer)
             for shard in self._map.shards_for_range(lo, hi)
+        ]
+        replies = self._scatter([order[0] for order in orders], request)
+        partials = [
+            self._decode_result(reply)
+            if self._answered(reply)
+            else self._read_fallback(order, request)
+            for order, reply in zip(orders, replies)
         ]
         return merge_topk(partials, k)
 
-    def _query_shard(
-        self, shard: int, request: dict, prefer: str
-    ) -> QueryResult:
-        """Ask one shard: its replicas round-robin unless ``prefer`` is
-        ``"primary"``, the primary when no replica answers."""
-        if prefer == "replica":
-            count = len(self._supervisor.replica_ports(shard))
-            start = self._round_robin[shard]
-            self._round_robin[shard] = (start + 1) % max(1, count)
-            for offset in range(count):
-                key = ("replica", shard, (start + offset) % count)
-                try:
-                    # One attempt per replica: a dead one should cost a
-                    # fallback, not a retry budget.
-                    return self._decode_result(
-                        self._request(key, dict(request), retries=1)
-                    )
-                except ClusterError:
-                    self._drop_connection(key)
-                    continue
+    def _read_order(self, shard: int, prefer: str) -> list[tuple]:
+        """The nodes to ask for one shard's read, in turn: its replicas
+        from the round-robin cursor (advanced once per read) unless
+        ``prefer`` is ``"primary"``, then its primary."""
+        primary = ("primary", shard)
+        if prefer == "primary":
+            return [primary]
+        count = len(self._supervisor.replica_ports(shard))
+        if count == 0:
             _COORD_REPLICA_FALLBACKS.inc()
-        return self._decode_result(self._request_primary(shard, request))
+            return [primary]
+        start = self._round_robin[shard] % count
+        self._round_robin[shard] = (start + 1) % count
+        replicas = [
+            ("replica", shard, (start + offset) % count)
+            for offset in range(count)
+        ]
+        return replicas + [primary]
+
+    def _read_fallback(self, order: list[tuple], request: dict) -> QueryResult:
+        """Answer a shard whose first node (``order[0]``) failed.
+
+        One attempt per other replica — a dead one should cost a
+        fallback, not a retry budget — then the primary with retries.
+        """
+        for key in order[1:-1]:
+            (reply,) = self._scatter([key], request)
+            if self._answered(reply):
+                return self._decode_result(reply)
+        if len(order) > 1:
+            _COORD_REPLICA_FALLBACKS.inc()
+        return self._decode_result(self._request(order[-1], request))
 
     @staticmethod
     def _decode_result(reply: dict) -> QueryResult:
@@ -312,32 +383,39 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Replication sync / stats
     # ------------------------------------------------------------------
+    def _replica_keys(self) -> list[tuple]:
+        return [
+            ("replica", shard, replica)
+            for shard in range(self.num_shards)
+            for replica in range(len(self._supervisor.replica_ports(shard)))
+        ]
+
     def stats(self) -> dict:
-        """Per-shard stats: the primary's and every replica's reply."""
-        report = []
-        for shard in range(self.num_shards):
-            entry = {
-                "primary": self._request_primary(shard, {"type": "stats"}),
-                "replicas": [],
-            }
-            for replica in range(len(self._supervisor.replica_ports(shard))):
+        """Per-shard stats: the primary's and every replica's reply
+        (``None`` for a replica that does not answer)."""
+        request = {"type": "stats"}
+        report = [
+            {"primary": reply, "replicas": []}
+            for reply in self._ask_all(self._primary_keys(), request)
+        ]
+        keys = self._replica_keys()
+        for key, reply in zip(keys, self._scatter(keys, request)):
+            if not self._answered(reply):
                 try:
-                    entry["replicas"].append(
-                        self._request(
-                            ("replica", shard, replica), {"type": "stats"}
-                        )
-                    )
+                    reply = self._request(key, request)
                 except ClusterError:
-                    entry["replicas"].append(None)
-            report.append(entry)
+                    reply = None
+            report[key[1]]["replicas"].append(reply)
         return {"shards": report}
 
     def sync(self, *, timeout_s: float = 30.0) -> int:
         """Block until every replica has applied its primary's last write.
 
         Polls each shard's primary ``last_seq`` against its replicas'
-        ``applied_seq`` until all caught up (publishing the worst lag
-        seen on the ``cluster.coordinator.max_lag_records`` gauge).
+        ``applied_seq`` until all caught up; each round asks every
+        replica still behind at once.  The worst lag seen during the
+        call is published on the ``cluster.coordinator.max_lag_records``
+        gauge.
 
         Returns:
             The maximum primary ``last_seq`` observed.
@@ -347,29 +425,34 @@ class ClusterCoordinator:
                 ``timeout_s``.
         """
         deadline = time.monotonic() + timeout_s
-        max_last_seq = 0
+        request = {"type": "stats"}
+        max_lag = 0
         with phase("cluster_sync", metric=_COORD_SYNC_MS):
-            for shard in range(self.num_shards):
-                target = int(
-                    self._request_primary(shard, {"type": "stats"})["last_seq"]
-                )
-                max_last_seq = max(max_last_seq, target)
-                for replica in range(len(self._supervisor.replica_ports(shard))):
-                    while True:
-                        reply = self._request(
-                            ("replica", shard, replica), {"type": "stats"}
-                        )
-                        applied = int(reply["applied_seq"])
-                        _COORD_MAX_LAG.set(max(0, target - applied))
-                        if applied >= target:
-                            break
-                        if time.monotonic() >= deadline:
-                            raise ClusterError(
-                                f"shard {shard} replica {replica} stuck at "
-                                f"seq {applied} < {target} after {timeout_s}s"
-                            )
-                        time.sleep(0.01)
-        return max_last_seq
+            targets = [
+                int(reply["last_seq"])
+                for reply in self._ask_all(self._primary_keys(), request)
+            ]
+            behind = self._replica_keys()
+            while behind:
+                lagging = []
+                for key, reply in zip(behind, self._ask_all(behind, request)):
+                    applied = int(reply["applied_seq"])
+                    target = targets[key[1]]
+                    max_lag = max(max_lag, target - applied)
+                    if applied < target:
+                        lagging.append((key, applied, target))
+                _COORD_MAX_LAG.set(max_lag)
+                if not lagging:
+                    break
+                if time.monotonic() >= deadline:
+                    (_, shard, replica), applied, target = lagging[0]
+                    raise ClusterError(
+                        f"shard {shard} replica {replica} stuck at "
+                        f"seq {applied} < {target} after {timeout_s}s"
+                    )
+                behind = [key for key, _, _ in lagging]
+                time.sleep(0.01)
+        return max(targets, default=0)
 
     def snapshot(self, shard: int) -> int:
         """Ask one shard's primary to write a WAL snapshot now.

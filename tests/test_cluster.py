@@ -19,9 +19,11 @@ from repro.cluster import (
     apply_stream,
     seed_shards,
 )
+from repro.cluster import coordinator as coordinator_module
 from repro.cluster.bench import run_cluster_bench
 from repro.core import RangePQ
 from repro.frontend.protocol import recv_frame
+from repro.obs import counter, gauge
 from repro.service import WriteAheadLog
 from repro.service.router import RangeShardedService
 from repro.service.wal import latest_snapshot, record_from_payload
@@ -209,11 +211,20 @@ def _oracle(seeddata):
     )
 
 
-def _assert_matches_oracle(coordinator, oracle, rng, num_queries=8, k=5):
-    """Scattered cluster queries == oracle queries, to the last bit."""
+def _assert_matches_oracle(
+    coordinator, oracle, rng, num_queries=8, k=5, *, crossing=None
+):
+    """Scattered cluster queries == oracle queries, to the last bit.
+
+    With ``crossing`` (an attribute boundary), every range straddles it.
+    """
     for _ in range(num_queries):
         vector = rng.standard_normal(8)
-        lo, hi = np.sort(rng.random(2) * 100.0)
+        if crossing is None:
+            lo, hi = np.sort(rng.random(2) * 100.0)
+        else:
+            lo = rng.random() * crossing
+            hi = crossing + rng.random() * (100.0 - crossing)
         got = coordinator.query(vector, float(lo), float(hi), k)
         want = oracle.query(vector, float(lo), float(hi), k)
         np.testing.assert_array_equal(want.ids, got.ids)
@@ -283,6 +294,17 @@ class TestClusterEndToEnd:
                 oracle.insert(2000 + i, vector, attr)
 
             supervisor.kill_replica(0, 0)  # mid-stream
+            # Shard 0 has no live replica now, so a boundary-crossing
+            # scatter asks its primary alongside shard 1's replica.
+            coordinator.sync(timeout_s=60.0)  # shard 1's replica only
+            fallbacks = counter("cluster.coordinator.replica_fallbacks").value
+            _assert_matches_oracle(
+                coordinator, oracle, rng, crossing=supervisor.boundaries[0]
+            )
+            assert (
+                counter("cluster.coordinator.replica_fallbacks").value
+                == fallbacks + 8
+            )
             supervisor.kill_primary(0)  # between acknowledged writes
             supervisor.restart_primary(0)
             supervisor.restart_replica(0, 0)
@@ -352,6 +374,162 @@ class TestClusterEndToEnd:
             _assert_matches_oracle(coordinator, oracle, rng)
             coordinator.close()
         oracle.close()
+
+
+# ----------------------------------------------------------------------
+# The pipelined scatter: every shard is asked before any reply is read.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="class")
+def idle_cluster(seeddata, tmp_path_factory):
+    """A seeded 2-shard x 1-replica cluster with no writes, and its oracle."""
+    ids, vectors, attrs = seeddata
+    directory = tmp_path_factory.mktemp("idle-cluster")
+    seed_shards(
+        directory, ids, vectors, attrs, num_shards=2, index_factory=factory
+    )
+    oracle = _oracle(seeddata)
+    with ClusterSupervisor(directory, replicas=1) as supervisor:
+        yield supervisor, oracle
+    oracle.close()
+
+
+class TestPipelinedScatter:
+    def _record_frames(self, monkeypatch, recv_fault=None):
+        """Log the coordinator's send/recv calls as ``(op, socket)``.
+
+        ``recv_fault(sock)`` may return an exception to raise in place of
+        that receive (the reply then stays unread on the socket).
+        """
+        log = []
+        send = coordinator_module.send_frame
+        recv = coordinator_module.recv_frame
+
+        def logged_send(sock, message):
+            log.append(("send", sock))
+            send(sock, message)
+
+        def logged_recv(sock):
+            log.append(("recv", sock))
+            error = recv_fault(sock) if recv_fault is not None else None
+            if error is not None:
+                raise error
+            return recv(sock)
+
+        monkeypatch.setattr(coordinator_module, "send_frame", logged_send)
+        monkeypatch.setattr(coordinator_module, "recv_frame", logged_recv)
+        return log
+
+    def test_fan_out_sends_every_shard_before_the_first_receive(
+        self, idle_cluster, monkeypatch
+    ):
+        supervisor, oracle = idle_cluster
+        boundary = supervisor.boundaries[0]
+        vector = np.random.default_rng(5).standard_normal(8)
+        with ClusterCoordinator(supervisor) as coordinator:
+            coordinator.sync()
+            log = self._record_frames(monkeypatch)
+            got = coordinator.query(vector, boundary / 2, boundary + 10.0, 5)
+            assert [op for op, _ in log] == ["send", "send", "recv", "recv"]
+            assert log[0][1] is not log[1][1]  # two nodes, not one twice
+            sent = [sock for _, sock in log[:2]]
+            assert [sock for _, sock in log[2:]] == sent  # in shard order
+            want = oracle.query(vector, boundary / 2, boundary + 10.0, 5)
+            np.testing.assert_array_equal(want.ids, got.ids)
+            np.testing.assert_array_equal(want.distances, got.distances)
+
+            log.clear()
+            coordinator.query(vector, 0.0, boundary / 2, 5)
+            assert [op for op, _ in log] == ["send", "recv"]
+
+    def test_failed_receive_drops_connection_and_falls_back(
+        self, idle_cluster, monkeypatch
+    ):
+        supervisor, oracle = idle_cluster
+        boundary = supervisor.boundaries[0]
+        rng = np.random.default_rng(6)
+        with ClusterCoordinator(supervisor) as coordinator:
+            coordinator.sync()
+            _assert_matches_oracle(
+                coordinator, oracle, rng, num_queries=1, crossing=boundary
+            )
+            key = ("replica", 0, 0)
+            target = coordinator._conns[key]
+            faults = [OSError("injected receive failure")]
+
+            def fault(sock):
+                return faults.pop() if sock is target and faults else None
+
+            self._record_frames(monkeypatch, recv_fault=fault)
+            _assert_matches_oracle(
+                coordinator, oracle, rng, num_queries=1, crossing=boundary
+            )
+            assert not faults  # the fault fired
+            assert target.fileno() == -1  # closed with its reply unread
+            assert key not in coordinator._conns
+            # A stale reply read later would show up as a mismatch.
+            _assert_matches_oracle(
+                coordinator, oracle, rng, num_queries=20, crossing=boundary
+            )
+
+    def test_exception_mid_gather_drops_every_unread_connection(
+        self, idle_cluster, monkeypatch
+    ):
+        supervisor, oracle = idle_cluster
+        boundary = supervisor.boundaries[0]
+        rng = np.random.default_rng(7)
+        with ClusterCoordinator(supervisor) as coordinator:
+            coordinator.sync()
+            _assert_matches_oracle(
+                coordinator, oracle, rng, num_queries=1, crossing=boundary
+            )
+            sent = [coordinator._conns[("replica", s, 0)] for s in (0, 1)]
+            faults = [RuntimeError("injected")]
+
+            def fault(sock):
+                return faults.pop() if faults else None
+
+            self._record_frames(monkeypatch, recv_fault=fault)
+            with pytest.raises(RuntimeError, match="injected"):
+                coordinator.query(rng.standard_normal(8), 1.0, 99.0, 5)
+            assert all(sock.fileno() == -1 for sock in sent)
+            assert not any(key[0] == "replica" for key in coordinator._conns)
+            _assert_matches_oracle(
+                coordinator, oracle, rng, num_queries=20, crossing=boundary
+            )
+
+
+class _StubSupervisor:
+    """Just enough of a ClusterSupervisor for a coordinator on stubs."""
+
+    boundaries = [50.0]
+    num_shards = 2
+
+    def replica_ports(self, shard):
+        return [7000 + shard]
+
+
+def test_sync_publishes_the_worst_lag_of_the_call(monkeypatch):
+    """Shard 0's replica is 3 records behind on the first poll, then
+    caught up; shard 1's is never behind.  The gauge reads the gap, not
+    the last replica polled."""
+    last_seq = {("primary", 0): 10, ("primary", 1): 4}
+    applied = {("replica", 0, 0): [7, 10], ("replica", 1, 0): [4, 4]}
+
+    def stub_scatter(self, keys, request):
+        if request["type"] == "ids":
+            return [{"ok": True, "ids": [key[1]]} for key in keys]
+        return [
+            {"ok": True, "last_seq": last_seq[key]}
+            if key[0] == "primary"
+            else {"ok": True, "applied_seq": applied[key].pop(0)}
+            for key in keys
+        ]
+
+    monkeypatch.setattr(ClusterCoordinator, "_scatter", stub_scatter)
+    coordinator = ClusterCoordinator(_StubSupervisor())
+    assert coordinator.sync(timeout_s=5.0) == 10
+    assert gauge("cluster.coordinator.max_lag_records").value == 3
+    assert applied == {("replica", 0, 0): [], ("replica", 1, 0): [4]}
 
 
 class TestClusterBench:
